@@ -34,7 +34,7 @@ evaluation of the program over the current data graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 from ..graph import Atom, Graph, Oid, Target, from_python
 from ..struql.ast import (
@@ -296,12 +296,10 @@ class SiteMaintainer:
             # trivially true for the delta itself, but seeds for edges
             # with constants must respect target constants)
             all_rows.extend(rows)
-        deduped: Dict[Tuple, Binding] = {}
-        for row in all_rows:
-            key = tuple(sorted((k, repr(v)) for k, v in row.items()))
-            deduped[key] = row
+        # rows found through more than one seeded condition repeat; the
+        # constructor applies each clause once per distinct projection
         _Constructor(self.site_graph, Metrics(), self.data_graph).run(
-            query, list(deduped.values()), engine
+            query, all_rows, engine
         )
 
     @staticmethod

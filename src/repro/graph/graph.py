@@ -27,7 +27,8 @@ maintains, incrementally, a label extent index, a reverse-adjacency index
 from __future__ import annotations
 
 import sys
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from collections import deque
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from ..errors import GraphError, UnknownObjectError
 from .delta import DeltaLog, GraphDelta
@@ -359,9 +360,9 @@ class Graph:
         if start not in self._out:
             raise UnknownObjectError(start)
         seen: Dict[Target, None] = {start: None}
-        queue: List[Oid] = [start]
+        queue: Deque[Oid] = deque([start])
         while queue:
-            current = queue.pop(0)
+            current = queue.popleft()
             for label, target in self.out_edges(current):
                 if via is not None and label not in via:
                     continue

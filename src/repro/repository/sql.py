@@ -40,8 +40,9 @@ import os
 import sqlite3
 import sys
 import threading
+from collections import deque
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from ..errors import (
     DeadlineExceeded,
@@ -1238,9 +1239,9 @@ class SqlGraph:
         if not self.has_node(start):
             raise UnknownObjectError(start)
         seen: Dict[Target, None] = {start: None}
-        queue: List[Oid] = [start]
+        queue: Deque[Oid] = deque([start])
         while queue:
-            current = queue.pop(0)
+            current = queue.popleft()
             for label, target in self.out_edges(current):
                 if via is not None and label not in via:
                     continue

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from dataclasses import fields as dataclass_fields
+from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -1513,6 +1514,8 @@ class QueryEngine:
 # ---------------------------------------------------------------------- #
 # the construction stage
 
+_Clause = Union[SkolemTerm, LinkClause, CollectClause]
+
 
 class _Constructor:
     """Applies create/link/collect clauses of a query tree to a result graph.
@@ -1523,6 +1526,15 @@ class _Constructor:
     together with everything reachable from it -- the site graph "models
     both the site's content and structure", so referenced content must be
     renderable from the site graph alone.  Imported nodes stay immutable.
+
+    Set-at-a-time: a clause reads only its own variables, and applying it
+    again to a projection of the rows onto them that it has already seen
+    is a no-op on the graph.  So each clause runs once per distinct
+    projection, at the row where it first occurs, in row-major,
+    clause-minor order; the graph (orders, epoch and delta log included)
+    and any error are those of applying every clause to every row.
+    Nested blocks are seeded with the rows projected onto the variables
+    they and their sub-blocks mention, deduplicated.
     """
 
     def __init__(self, result: Graph, metrics: Metrics, source: Graph) -> None:
@@ -1531,24 +1543,51 @@ class _Constructor:
         self.source = source
         self._new_nodes: Set[Oid] = {oid for _, _, oid in result.skolems.terms()}
         self._imported: Set[Oid] = set()
+        #: (function, args) -> oid of every Skolem term applied this run
+        self._terms: Dict[Tuple[str, Tuple[object, ...]], Oid] = {}
 
     def run(self, query: Query, rows: List[Binding], engine: QueryEngine) -> None:
-        for row in rows:
-            self._construct_row(query, row)
+        result, metrics = self.result, self.metrics
+        nodes, edges = result.node_count, result.edge_count
+        try:
+            self._construct(query, rows, engine)
+        finally:
+            metrics.nodes_created += result.node_count - nodes
+            metrics.edges_created += result.edge_count - edges
+
+    def _construct(
+        self, query: Query, rows: List[Binding], engine: QueryEngine
+    ) -> None:
+        clauses: List[Tuple[Callable[..., object], _Clause]] = [
+            *((self._skolem, term) for term in query.create),
+            *((self._link, link) for link in query.link),
+            *((self._collect, collect) for collect in query.collect),
+        ]
+        # one (first row, clause position) event per distinct projection,
+        # packed into an int so a sort gives row-major, clause-minor order
+        width = len(clauses)
+        firsts: Dict[FrozenSet[str], List[int]] = {}
+        events: List[int] = []
+        for position, (_, clause) in enumerate(clauses):
+            names = clause.variables()
+            if names not in firsts:
+                firsts[names] = _first_rows(rows, sorted(names))
+            events += [index * width + position for index in firsts[names]]
+        for event in sorted(events):
+            index, position = divmod(event, width)
+            apply, clause = clauses[position]
+            apply(clause, rows[index])
+        bound = set().union(*rows)
         for block in query.blocks:
-            block_rows = engine.bindings(block.where, initial=rows)
-            self.run(block, block_rows, engine)
+            needed = sorted(_block_variables(block) & bound)
+            seeds = [
+                {name: rows[index][name] for name in needed if name in rows[index]}
+                for index in _first_rows(rows, needed)
+            ]
+            block_rows = engine.bindings(block.where, initial=seeds)
+            self._construct(block, block_rows, engine)
 
     # ------------------------------------------------------------ #
-
-    def _construct_row(self, query: Query, row: Binding) -> None:
-        for term in query.create:
-            self._skolem(term, row)
-        for link in query.link:
-            self._link(link, row)
-        for collect in query.collect:
-            node = self._resolve_node(collect.node, row, importing=True)
-            self.result.add_to_collection(collect.collection, node)
 
     def _skolem(self, term: SkolemTerm, row: Binding) -> Oid:
         args: List[object] = []
@@ -1564,44 +1603,47 @@ class _Constructor:
             if isinstance(value, str):
                 value = Atom(AtomType.STRING, value)
             args.append(value)
-        before = self.result.node_count
-        oid = self.result.skolem(term.function, *args)
-        if self.result.node_count > before:
-            self.metrics.nodes_created += 1
-        self._new_nodes.add(oid)
+        key = (term.function, tuple(args))
+        oid = self._terms.get(key)
+        if oid is None:
+            oid = self._terms[key] = self.result.skolem(term.function, *args)
+            self._new_nodes.add(oid)
         return oid
 
-    def _resolve_node(
-        self, ref, row: Binding, importing: bool
-    ) -> Oid:
+    def _collect(self, collect: CollectClause, row: Binding) -> None:
+        ref = collect.node
         if isinstance(ref, SkolemTerm):
-            return self._skolem(ref, row)
-        value = row.get(ref.name)
-        if not isinstance(value, Oid):
-            raise StruqlEvaluationError(
-                f"variable {ref.name!r} does not denote a node (got {value!r})"
-            )
-        if not self.result.has_node(value):
-            if not importing:
-                raise StruqlEvaluationError(f"node {value} not present in result graph")
-            self._import_subgraph(value)
-        return value
+            node = self._skolem(ref, row)
+        else:
+            node = row.get(ref.name)
+            if not isinstance(node, Oid):
+                raise StruqlEvaluationError(
+                    f"variable {ref.name!r} does not denote a node (got {node!r})"
+                )
+            if not self.result.has_node(node):
+                self._import_subgraph(node)
+        self.result.add_to_collection(collect.collection, node)
 
     def _import_subgraph(self, root: Oid) -> None:
-        """Copy a data-graph node and its reachable closure into the result."""
+        """Copy a data-graph node and its reachable closure into the
+        result; the copy is taken out of the run's created counts."""
+        result = self.result
+        nodes, edges = result.node_count, result.edge_count
         if root in self._imported or not self.source.has_node(root):
-            self.result.add_node(root)
-            return
-        reached = self.source.reachable(root)
-        for oid in reached:
-            self.result.add_node(oid)
-            self._imported.add(oid)
-        for oid in reached:
-            for label, target in self.source.out_edges(oid):
-                self.result.add_edge(oid, label, target)
+            result.add_node(root)
+        else:
+            reached = self.source.reachable(root)
+            for oid in reached:
+                result.add_node(oid)
+                self._imported.add(oid)
+            for oid in reached:
+                for label, target in self.source.out_edges(oid):
+                    result.add_edge(oid, label, target)
+        self.metrics.nodes_created -= result.node_count - nodes
+        self.metrics.edges_created -= result.edge_count - edges
 
     def _link(self, link: LinkClause, row: Binding) -> None:
-        source = self._resolve_node(link.source, row, importing=False) \
+        source = self._skolem(link.source, row) \
             if isinstance(link.source, SkolemTerm) else self._resolve_source_var(link.source, row)
         if isinstance(link.label, str):
             label = link.label
@@ -1616,10 +1658,7 @@ class _Constructor:
                     f"arc variable {link.label.name!r} is not bound to a label"
                 )
         target = self._resolve_target(link.target, row)
-        before = self.result.edge_count
         self.result.add_edge(source, label, target)
-        if self.result.edge_count > before:
-            self.metrics.edges_created += 1
 
     def _resolve_source_var(self, ref: Var, row: Binding) -> Oid:
         value = row.get(ref.name)
@@ -1649,6 +1688,33 @@ class _Constructor:
         if isinstance(value, str):
             return Atom(AtomType.STRING, value)
         return value
+
+
+def _first_rows(rows: List[Binding], names: Sequence[str]) -> List[int]:
+    """Ascending indices of the rows at which each distinct projection of
+    ``rows`` onto ``names`` first occurs (an unbound name projects to
+    ``None``)."""
+    if not names:
+        return [0] if rows else []
+    project = itemgetter(*names)
+    try:
+        keys = list(map(project, rows))
+    except KeyError:
+        unbound = dict.fromkeys(names)
+        keys = [project({**unbound, **row}) for row in rows]
+    # walking backwards, the last index stored for a key is its first
+    first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+    return sorted(first.values())
+
+
+def _block_variables(block: Query) -> Set[str]:
+    """Every variable a block and its nested blocks mention."""
+    names: Set[str] = set()
+    for query in block.walk():
+        names |= query.where_variables()
+        for clause in (*query.create, *query.link, *query.collect):
+            names |= clause.variables()
+    return names
 
 
 # ---------------------------------------------------------------------- #
