@@ -597,10 +597,12 @@ class SqlGraph:
         return out
 
     def _bump(self) -> int:
-        self._ex(
-            "UPDATE graphs SET epoch=epoch+1 WHERE id=?", (self._graph_id,)
+        """Advance the epoch and return the new value, in one statement."""
+        value = self._s(
+            "UPDATE graphs SET epoch=epoch+1 WHERE id=? RETURNING epoch",
+            (self._graph_id,),
         )
-        return self._state("epoch")
+        return int(value or 0)
 
     def _journal(
         self,

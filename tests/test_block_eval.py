@@ -2,49 +2,55 @@
 
 The contracts under test:
 
-* block mode and tuple-at-a-time mode produce *identical* binding
-  relations -- same rows, same order -- for arbitrary graphs and a query
-  suite covering collections, edges, arc variables, regular paths,
-  negation, and comparisons (hypothesis property);
+* the engine's binding relation equals the test-only reference
+  evaluator's (:mod:`tests.reference_eval`: written order, nested loops
+  over dict bindings, full scans) -- exactly, rows and order, in naive
+  mode (written order, no indexes), and as a set under index probes and
+  the planner -- for arbitrary graphs and a query suite covering
+  collections, edges, arc variables, regular paths, negation,
+  comparisons and coercing constants, on the memory backend and on
+  ``SqlGraph`` (whose optimized evaluation is pushed into SQLite);
 * the footprint recorded by block mode is sound: any delta that changes
   a query's bindings must satisfy ``footprint.touches(delta)``;
-* edge cases where batching is easy to get wrong: zero-length path
-  matches, cycles under ``Star``, negation over partially bound
-  frontiers seeded through ``initial``;
+* edge cases where batching is easy to get wrong, each checked against
+  the reference: zero-length path matches, cycles under ``Star``,
+  fully-bound path pairs, negation and paths over partially bound
+  frontiers seeded through ``initial``, arc variables, and an arc
+  variable bound to an oid;
 * the path-reachability memo serves warm evaluations
   (``path_memo_hits``) and is invalidated by graph mutation;
 * ``NFA.reversed()`` (structural reversal) is equivalent to compiling
   the reversed expression;
 * ``_Frame.unique_dicts`` deduplicates in first-occurrence order at
   10k-row scale;
-* ``adaptive=True`` may reorder rows but preserves the binding set;
 * ``explain(..., counts=True)`` renders per-operator row counts.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from repro.graph import Graph, Oid, string
+from repro.graph import Atom, AtomType, Graph, integer, string
 from repro.repository import IndexStatistics
+from repro.repository.sql import SqlRepository
 from repro.struql import (
     Footprint,
-    Metrics,
     PlanCache,
     QueryEngine,
+    SqlQueryEngine,
     compile_path,
     explain,
     parse_query,
-    query_bindings,
     reverse_expr,
     sources_to,
 )
 from repro.struql.ast import Alternation, Concat, LabelIs, Star, any_path
 from repro.struql.eval import _Frame
 
+from .reference_eval import reference_bindings
 from .test_perf_caches import _apply, mutation_scripts
 
 # ---------------------------------------------------------------------- #
-# block == row (property)
+# engine == reference evaluator (property)
 
 _BLOCK_QUERY_TEXTS = [
     'where C(x), x -> "a" -> y create Probe()',
@@ -55,45 +61,108 @@ _BLOCK_QUERY_TEXTS = [
     'where C(x), C(y), x -> "a" -> z, y -> "b" -> z create Probe()',
     'where C(x), x -> "a" -> v, v = "f" create Probe()',
     'where x -> "a" -> y, y -> ("a"|"b") -> z create Probe()',
+    # coercing constants: "5" must match the INTEGER 5 and FLOAT 5.0 too
+    'where x -> "a" -> "5" create Probe()',
+    'where x -> ("a"|"b")* -> "5" create Probe()',
+    'where C(x), x -> l -> v, isInteger(v), v > 3 create Probe()',
+]
+
+#: a graph every coercing constant of the suite matches, in an INTEGER
+#: and a FLOAT spelling
+_COERCION_SCRIPT = [
+    ("node", 0, 0, "a", integer(0)),
+    ("node", 0, 0, "a", integer(0)),
+    ("edge_atom", 0, 0, "a", integer(5)),
+    ("edge_atom", 1, 0, "a", Atom(AtomType.FLOAT, 5.0)),
+    ("edge_node", 1, 0, "b", integer(0)),
+    ("edge_atom", 1, 0, "c", integer(7)),
+    ("collect", 0, 0, "a", integer(0)),
+    ("collect", 1, 0, "a", integer(0)),
 ]
 
 
-def _bindings(graph, conditions, use_blocks, **kwargs):
-    engine = QueryEngine(
-        graph, use_blocks=use_blocks, plan_cache=PlanCache(), **kwargs
-    )
-    return engine.bindings(conditions)
+def _bindings(graph, conditions, initial=None, **kwargs):
+    engine = QueryEngine(graph, plan_cache=PlanCache(), **kwargs)
+    return engine.bindings(conditions, initial=initial)
+
+
+def _as_set(rows):
+    keys = {frozenset(row.items()) for row in rows}
+    assert len(keys) == len(rows), "binding relation has duplicate rows"
+    return keys
+
+
+def _check(graph, conditions, initial=None, engine=QueryEngine, **kwargs):
+    """Assert the engine agrees with the reference: the exact list in
+    naive mode, the same set with indexes and with the planner.  Returns
+    the default (optimized) engine's rows."""
+    expected = reference_bindings(graph, conditions, initial)
+    text = ", ".join(map(str, conditions))
+    naive = engine(graph, optimize=False, use_indexes=False, plan_cache=PlanCache())
+    assert naive.bindings(conditions, initial=initial) == expected, text
+    written = engine(graph, optimize=False, plan_cache=PlanCache())
+    rows = written.bindings(conditions, initial=initial)
+    assert _as_set(rows) == _as_set(expected), text
+    planned = engine(graph, plan_cache=PlanCache(), **kwargs)
+    rows = planned.bindings(conditions, initial=initial)
+    assert _as_set(rows) == _as_set(expected), text
+    return rows
+
+
+def _graph(script):
+    graph = Graph()
+    nodes = []
+    for step in script:
+        _apply(graph, nodes, step)
+    return graph
 
 
 @given(mutation_scripts())
+@example(_COERCION_SCRIPT)
 @settings(max_examples=40, deadline=None)
 def test_block_bindings_match_row_bindings(script):
-    """Strict list equality: same rows in the same order, on arbitrary
+    """Against the reference evaluator's row-at-a-time relation: the
+    planned, indexed engine yields the same set of rows, on arbitrary
     graphs, for every query shape the engine supports."""
-    queries = [parse_query(text) for text in _BLOCK_QUERY_TEXTS]
-    graph = Graph()
-    nodes = []
-    for step in script:
-        _apply(graph, nodes, step)
-    for query in queries:
-        block = _bindings(graph, query.where, use_blocks=True)
-        row = _bindings(graph, query.where, use_blocks=False)
-        assert block == row, str(query)
+    graph = _graph(script)
+    for text in _BLOCK_QUERY_TEXTS:
+        query = parse_query(text)
+        expected = _as_set(reference_bindings(graph, query.where))
+        assert _as_set(_bindings(graph, query.where)) == expected, text
+        written = _bindings(graph, query.where, optimize=False)
+        assert _as_set(written) == expected, text
 
 
 @given(mutation_scripts())
+@example(_COERCION_SCRIPT)
 @settings(max_examples=30, deadline=None)
 def test_block_matches_row_in_naive_mode(script):
-    """The equivalence holds with indexes disabled too (full scans)."""
-    queries = [parse_query(text) for text in _BLOCK_QUERY_TEXTS]
-    graph = Graph()
-    nodes = []
-    for step in script:
-        _apply(graph, nodes, step)
-    for query in queries:
-        block = _bindings(graph, query.where, use_blocks=True, use_indexes=False)
-        row = _bindings(graph, query.where, use_blocks=False, use_indexes=False)
-        assert block == row, str(query)
+    """With written order and full scans (the E5 ablation) the engine
+    reproduces the reference evaluator's rows in the same order."""
+    graph = _graph(script)
+    for text in _BLOCK_QUERY_TEXTS:
+        query = parse_query(text)
+        naive = _bindings(graph, query.where, optimize=False, use_indexes=False)
+        assert naive == reference_bindings(graph, query.where), text
+
+
+@given(mutation_scripts())
+@example(_COERCION_SCRIPT)
+@settings(max_examples=20, deadline=None)
+def test_block_matches_reference_on_sqlgraph(script):
+    """The same contract over a SQLite data graph: naive mode runs the
+    block operators on ``SqlGraph`` (exact rows and order); optimized
+    mode pushes each compilable plan prefix into SQL, or with the plain
+    ``QueryEngine`` runs the planned operators in memory (same set)."""
+    repository = SqlRepository()
+    repository.store("data", _graph(script), persist=False)
+    graph = repository.fetch("data")
+    for text in _BLOCK_QUERY_TEXTS:
+        query = parse_query(text)
+        _check(graph, query.where, engine=SqlQueryEngine, pushdown_cutoff=0.0)
+        assert _as_set(_bindings(graph, query.where)) == _as_set(
+            reference_bindings(graph, query.where)
+        ), text
 
 
 # ---------------------------------------------------------------------- #
@@ -154,9 +223,7 @@ def cycle_graph():
 def test_star_includes_zero_length_match(cycle_graph):
     graph, a, b = cycle_graph
     query = parse_query("where C(x), x -> * -> v create Probe()")
-    block = _bindings(graph, query.where, use_blocks=True)
-    row = _bindings(graph, query.where, use_blocks=False)
-    assert block == row
+    block = _check(graph, query.where)
     # "including p itself": every collection member reaches itself
     assert {"x": a, "v": a} in block
     assert {"x": b, "v": b} in block
@@ -165,9 +232,7 @@ def test_star_includes_zero_length_match(cycle_graph):
 def test_star_terminates_on_cycles(cycle_graph):
     graph, a, b = cycle_graph
     query = parse_query('where C(x), x -> "n"* -> v create Probe()')
-    block = _bindings(graph, query.where, use_blocks=True)
-    row = _bindings(graph, query.where, use_blocks=False)
-    assert block == row
+    block = _check(graph, query.where)
     assert {"x": a, "v": b} in block and {"x": b, "v": a} in block
 
 
@@ -175,9 +240,7 @@ def test_fully_bound_path_pairs(cycle_graph):
     """Both endpoints bound: the block operator verdict-checks pairs."""
     graph, a, b = cycle_graph
     query = parse_query('where C(x), C(v), x -> "n" -> v create Probe()')
-    block = _bindings(graph, query.where, use_blocks=True)
-    row = _bindings(graph, query.where, use_blocks=False)
-    assert block == row
+    block = _check(graph, query.where)
     assert {"x": a, "v": b} in block
 
 
@@ -187,11 +250,7 @@ def test_negation_over_partially_bound_frontier(cycle_graph):
     graph, a, b = cycle_graph
     query = parse_query('where not(x -> "a" -> y) create Probe()')
     initial = [{"x": a}, {"x": b}, {"x": a}]
-    block_engine = QueryEngine(graph, use_blocks=True, plan_cache=PlanCache())
-    row_engine = QueryEngine(graph, use_blocks=False, plan_cache=PlanCache())
-    block = block_engine.bindings(query.where, initial=initial)
-    row = row_engine.bindings(query.where, initial=initial)
-    assert block == row
+    block = _check(graph, query.where, initial=initial)
     assert block == [{"x": b}]  # a has an "a"-edge, b does not
 
 
@@ -201,10 +260,7 @@ def test_path_over_partially_bound_frontier(cycle_graph):
     graph, a, b = cycle_graph
     query = parse_query('where x -> "n"* -> v create Probe()')
     initial = [{"x": a}, {"x": b, "v": a}, {"v": b}]
-    block_engine = QueryEngine(graph, use_blocks=True, plan_cache=PlanCache())
-    row_engine = QueryEngine(graph, use_blocks=False, plan_cache=PlanCache())
-    assert block_engine.bindings(query.where, initial=initial) == \
-        row_engine.bindings(query.where, initial=initial)
+    _check(graph, query.where, initial=initial)
 
 
 # ---------------------------------------------------------------------- #
@@ -263,7 +319,8 @@ def test_path_memo_serves_warm_runs_and_invalidates():
                    "to", extra)
     fresh = engine.bindings(query.where)
     assert fresh != cold
-    assert fresh == _bindings(graph, query.where, use_blocks=False)
+    assert fresh == _bindings(graph, query.where)  # a cold engine, no memo
+    assert _as_set(fresh) == _as_set(reference_bindings(graph, query.where))
 
 
 def test_path_memo_shared_across_queries_with_same_nfa():
@@ -329,48 +386,7 @@ def test_unique_dicts_dedupes_first_occurrence_order_at_10k_rows():
 
 
 # ---------------------------------------------------------------------- #
-# adaptive mode: same set, order may differ
-
-def test_adaptive_engine_preserves_binding_set():
-    graph = _fanin_graph()
-    query = parse_query(
-        'where C(x), x -> "to" -> h, x -> "kind" -> k create Probe()'
-    )
-    adaptive = QueryEngine(graph, adaptive=True, plan_cache=PlanCache())
-    first = adaptive.bindings(query.where)   # learns dedup factors
-    second = adaptive.bindings(query.where)  # may replan with them
-    baseline = _bindings(graph, query.where, use_blocks=False)
-
-    def canon(rows):
-        return sorted(tuple(sorted((k, repr(v)) for k, v in row.items()))
-                      for row in rows)
-
-    assert canon(first) == canon(baseline)
-    assert canon(second) == canon(baseline)
-    assert adaptive.dedup_factors  # factors were learned
-
-
-def test_non_adaptive_engine_replans_nothing_from_factors():
-    """Learned factors must not change the plan key when adaptive is
-    off: the second evaluation is a plan-cache hit."""
-    graph = _fanin_graph()
-    query = parse_query('where C(x), x -> "to" -> h create Probe()')
-    engine = QueryEngine(graph, plan_cache=PlanCache())
-    engine.bindings(query.where)
-    engine.bindings(query.where)
-    assert engine.metrics.plan_cache_hits == 1
-    assert engine.metrics.plan_cache_misses == 1
-
-
-# ---------------------------------------------------------------------- #
-# evaluate()/query_bindings() ablation plumbing and explain counts
-
-def test_query_bindings_use_blocks_flag_matches():
-    graph = _fanin_graph(members=5)
-    text = 'where C(x), x -> "to" -> h create Probe()'
-    assert query_bindings(text, graph, use_blocks=True) == \
-        query_bindings(text, graph, use_blocks=False)
-
+# explain counts
 
 def test_explain_counts_renders_operator_rows():
     graph = _fanin_graph(members=5)
@@ -390,34 +406,25 @@ def test_explain_counts_requires_graph():
 
 def test_stats_snapshot_direction_choice_is_consistent():
     """Fully-bound pairs answered under either direction choice agree
-    with row mode (the optimizer picks by cardinality estimates)."""
+    with the reference (the optimizer picks by cardinality estimates)."""
     graph = _fanin_graph()
     stats = IndexStatistics.from_graph(graph)
     query = parse_query('where C(x), C(y), x -> "to"* -> y create Probe()')
-    block = QueryEngine(graph, stats=stats, plan_cache=PlanCache()).bindings(
-        query.where
-    )
-    row = _bindings(graph, query.where, use_blocks=False)
-    assert block == row
+    _check(graph, query.where, stats=stats)
 
 
 def test_arc_variable_block_matches_row():
     graph = _fanin_graph(members=4)
     query = parse_query("where C(x), x -> l -> v create Probe()")
-    assert _bindings(graph, query.where, use_blocks=True) == \
-        _bindings(graph, query.where, use_blocks=False)
+    _check(graph, query.where)
 
 
 def test_oid_bound_arc_variable_yields_nothing():
-    """Row mode skips rows whose arc variable is bound to an Oid; block
-    mode must replicate that quirk."""
-    graph, a, b = Graph(), None, None
+    """An arc variable bound to an oid labels no edge: no rows."""
+    graph = Graph()
     a = graph.add_node()
     b = graph.add_node()
     graph.add_edge(a, "n", b)
     query = parse_query("where x -> l -> v create Probe()")
     initial = [{"x": a, "l": a}]
-    block = QueryEngine(graph, use_blocks=True, plan_cache=PlanCache())
-    row = QueryEngine(graph, use_blocks=False, plan_cache=PlanCache())
-    assert block.bindings(query.where, initial=initial) == \
-        row.bindings(query.where, initial=initial) == []
+    assert _check(graph, query.where, initial=initial) == []

@@ -28,7 +28,7 @@ import time
 import pytest
 
 from repro.errors import DeadlineExceeded, StrudelError
-from repro.graph import Graph
+from repro.graph import Graph, string
 from repro.repository import SqlRepository, ddl
 from repro.repository.sql import SqlGraph
 from repro.resilience import (
@@ -45,7 +45,13 @@ from repro.resilience import (
 from repro.resilience.chaos import ChaosFault, FaultPlan, flip_bit, installed
 from repro.resilience.report import reset_recovery_events
 from repro.serve import ServeCore, SiteServer, Watchdog
-from repro.struql import evaluate, parse
+from repro.struql import (
+    evaluate,
+    make_engine,
+    parse,
+    parse_query,
+    register_object_predicate,
+)
 from repro.workloads import HOMEPAGE_QUERY, bibliography_graph, homepage_templates
 
 
@@ -204,6 +210,47 @@ class TestSqlCancellation:
         assert time.monotonic() - started < 0.4
         assert info.value.site == "sql.pushdown"
         assert store.interrupts == 1
+
+    def test_residue_after_pushdown_checks_deadline(self, monkeypatch):
+        """The operators left after a pushed-down prefix run through the
+        same loop as in-memory evaluation: a deadline that expires while
+        SQLite fetches stops evaluation at ``engine.block``, before the
+        first residual condition runs."""
+        graph = Graph()
+        for index in range(5):
+            node = graph.add_node()
+            graph.add_to_collection("C", node)
+            graph.add_edge(node, "a", string(f"v{index}"))
+        repository = SqlRepository()
+        repository.store("g", graph, persist=False)
+        sql_graph = repository.fetch("g")
+        now = [0.0]
+        deadline = Deadline(1.0, clock=lambda: now[0])
+        store = sql_graph._store
+        fetch = store.query_named
+
+        def fetch_then_expire(sql, params):
+            rows = fetch(sql, params)
+            now[0] = 2.0
+            return rows
+
+        monkeypatch.setattr(store, "query_named", fetch_then_expire)
+        checked = []
+        unregister = register_object_predicate(
+            "recordsCall", lambda value: checked.append(value) or True
+        )
+        try:
+            engine = make_engine(sql_graph, pushdown_cutoff=0.0)
+            query = parse_query('where C(x), x -> "a" -> v, recordsCall(v) create P()')
+            with deadline_scope(deadline):
+                with pytest.raises(DeadlineExceeded) as info:
+                    engine.bindings(query.where)
+        finally:
+            unregister()
+        assert engine.metrics.sql_pushdowns == 1
+        assert engine.metrics.sql_rows_fetched == 5
+        assert info.value.site == "engine.block"
+        assert checked == []  # the residual predicate never ran
 
     def test_pushdown_without_deadline_runs_free(self):
         repository = SqlRepository()

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import RepositoryError
-from repro.graph import Graph, integer, real, string, url
+from repro.graph import Graph, Oid, integer, real, string, url
 from repro.mediator import Mediator
 from repro.repository import Repository, SqlRepository, ddl, open_repository
 from repro.repository.sql import SqlGraph
@@ -191,9 +191,7 @@ def test_fallback_reasons(corner_pair):
     assert engine.last_pushdown.fallback_reason == "below cost cutoff"
     _, engine = _bindings(sql, text, pushdown_cutoff=0.0, optimize=False)
     assert engine.last_pushdown.fallback_reason == "ablation mode"
-    _, engine = _bindings(sql, text, pushdown_cutoff=0.0, adaptive=True)
-    assert engine.last_pushdown.fallback_reason == "adaptive mode"
-    assert "adaptive mode" in explain_pushdown(engine)
+    assert "ablation mode" in explain_pushdown(engine)
 
 
 def test_warm_plan_cache_hits(corner_pair):
@@ -245,6 +243,43 @@ def test_journal_delta(tmp_path):
     assert delta.nodes_added == [node]
     assert (node, "tag", string("fresh")) in delta.edges_added
     assert ("Pool", node) in delta.members_added
+
+
+def test_mutation_epochs_and_journal_match_memory_graph(tmp_path):
+    """Each mutation advances the epoch by one and journals under the new
+    epoch, exactly as the in-memory graph's delta log does; removals
+    journal their cascaded entries under the same epoch."""
+    repository = SqlRepository(str(tmp_path))
+    repository.store("g", Graph())
+    sql = repository.fetch("g")
+    mem = Graph()
+    a, b = Oid("a"), Oid("b")
+    script = [
+        lambda g: g.add_node(a),
+        lambda g: g.add_node(b),
+        lambda g: g.add_node(a),  # already there: no epoch
+        lambda g: g.add_edge(a, "to", b),
+        lambda g: g.add_edge(a, "year", integer(1998)),
+        lambda g: g.add_to_collection("Pool", b),
+        lambda g: g.remove_edge(a, "to", b),
+        lambda g: g.remove_node(b),
+    ]
+    sql_base, mem_base = sql.epoch, mem.epoch
+    epochs = []
+    for step in script:
+        step(sql)
+        step(mem)
+        assert sql.epoch - sql_base == mem.epoch - mem_base
+        epochs.append(sql.epoch - sql_base)
+    assert epochs == [1, 2, 2, 3, 4, 6, 7, 8]
+    journal = sql._store.query(
+        "SELECT epoch FROM journal WHERE graph=? ORDER BY id", (sql._graph_id,)
+    )
+    assert [epoch - sql_base for (epoch,) in journal] == [1, 2, 3, 4, 5, 6, 7, 8, 8]
+    sql_delta, mem_delta = sql.delta_since(sql_base), mem.delta_since(mem_base)
+    for changes in ("nodes_added", "nodes_removed", "edges_added", "edges_removed",
+                    "members_added", "members_removed", "collections_created"):
+        assert getattr(sql_delta, changes) == getattr(mem_delta, changes), changes
 
 
 def test_rebuild_rolls_back_on_error(tmp_path):
